@@ -50,8 +50,8 @@ class ShardEngine:
     """Steps one shard of parties through synchronous rounds.
 
     The engine does **not** own a metrics ledger: charging is the
-    caller's job (the supervisor charges the authoritative ledger as it
-    routes frames; :func:`run_shard_locally` charges a local one), so a
+    caller's job (the supervisor charges the authoritative ledger from
+    worker digests; :func:`run_shard_locally` charges a local one), so a
     sharded run cannot double-charge.
     """
 
@@ -212,8 +212,8 @@ class ShardEngine:
         """Freeze the shard at its current round barrier.
 
         ``staged`` are the caller's in-flight frames for this shard (the
-        local runner's pending list; workers pass nothing because frame
-        staging is supervisor-owned).  ``tallies`` lets the caller
+        local runner's pending list, or a worker's frames not yet due).
+        ``tallies`` lets the caller
         attach per-party metric tallies for resume recharging.
         """
         records: List[PartyCheckpoint] = []

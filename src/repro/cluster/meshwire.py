@@ -1,10 +1,7 @@
 """The mesh data-plane wire format: compact binary frame trains.
 
-The hub-and-spoke cluster shipped party frames *inside* pickled control
-messages — every data-plane byte crossed the supervisor twice and paid
-``Frame.encode``/``pickle`` on both hops.  The mesh replaces that hot
-path with a purpose-built binary format spoken directly between worker
-processes (:mod:`repro.cluster.mesh`):
+Party frames travel between worker processes in a purpose-built binary
+format spoken directly over the mesh (:mod:`repro.cluster.mesh`):
 
 * a **train** is one worker's batch of frames for one peer in one round
   — the unit of dedup, resend, and the per-round barrier (an *empty*
@@ -22,8 +19,8 @@ Decoders are strict: truncated or corrupted headers raise
 :class:`~repro.errors.SerializationError` (a member of
 :data:`~repro.errors.MALFORMED_INPUT_ERRORS`) — never hang, never
 silently mis-frame.  ``charge_bits`` survives exactly (signed: ``-1``
-means "charge the payload size"), so the supervisor's digest replay and
-a relay run charge identical bits.
+means "charge the payload size"), so the supervisor's digest replay
+charges the same bits a single-process run does.
 """
 
 from __future__ import annotations
@@ -181,9 +178,9 @@ def decode_train_body(body: bytes) -> List[Frame]:
         start = need(payload_len)
         frames.append(
             Frame(
-                # lint: allow[TRU001] reason=party ids are checked against the staged routing table by the router/supervisor before any delivery or ledger charge
+                # lint: allow[TRU001] reason=the sender only labels the inbox envelope; ledger charges come from the emitting worker's digest, whose senders the supervisor validates
                 sender=sender,
-                recipient=recipient,  # lint: allow[TRU001] reason=recipient is checked against the staged routing table before any delivery or ledger charge
+                recipient=recipient,  # lint: allow[TRU001] reason=ShardEngine.step_round rejects a recipient outside its shard before delivery
                 payload=bytes(view[start:start + payload_len]),
                 sent_round=sent_round,
                 deliver_round=deliver_round,

@@ -3,23 +3,19 @@
 All cluster control traffic — job dispatch, round barriers, heartbeats,
 checkpoint commands, and the worker's per-round results — travels as
 length-prefixed :class:`Message` records over one blocking TCP
-connection per worker.  Party-to-party traffic rides *inside* ROUND and
-DONE messages as batches of :class:`~repro.runtime.transport.Frame`
-records in the transport's existing wire encoding, so the bytes a party
-emits on the cluster are exactly the bytes it emits under
-:class:`~repro.runtime.transport.TcpTransport`.
+connection per worker.  Party-to-party traffic never rides here: it
+moves worker↔worker over the mesh (:mod:`repro.cluster.meshwire`).
 
 Message layout (everything length-prefixed with the transport's 4-byte
 big-endian ``_LENGTH`` prefix or :mod:`repro.utils.serialization`
 varints)::
 
-    u32 total | bytes json_header | bytes blob | seq frame_encodings
+    u32 total | bytes json_header | bytes blob
 
 * ``json_header`` — ``{"kind": ..., **fields}``, sorted keys: the small
   structured part (round numbers, worker ids, shard assignments);
 * ``blob`` — an opaque pickle for Python payloads that are not JSON
-  (party outputs, the job description);
-* ``frame_encodings`` — each item is ``Frame.encode()`` verbatim.
+  (party outputs, charge digests, the job description).
 
 Kinds (see ``docs/cluster.md`` for the full state machine):
 
@@ -28,16 +24,20 @@ kind             dir     meaning
 ===============  ======  =======================================================
 ``hello``        w → s   worker is up; fields: ``worker_id``
 ``job``          s → w   shard assignment; blob: pickled ClusterJob;
-                         fields: ``shard`` (party ids), ``resume`` (bool),
-                         ``checkpoint_dir``, ``checkpoint_name``
-``resumed``      w → s   checkpoint loaded; fields: ``next_round``
-``round``        s → w   step one round; fields: ``round``, ``replay``;
-                         frames: the shard's due deliveries
-``done``         w → s   round finished; fields: ``round``; frames: the
-                         shard's emissions; blob: pickled
-                         ``{"outputs": {...}, "trace": {...}}``
+                         fields: ``shard`` (party ids), ``shards`` (every
+                         worker's), ``mesh_host``, ``resume_round``,
+                         ``checkpoint_dir``, ``checkpoint_stem``,
+                         ``trace_id``
+``resumed``      w → s   shard rebuilt; fields: ``next_round``,
+                         ``mesh_host``, ``mesh_port`` (mesh listener)
+``round``        s → w   step one round; fields: ``round``, ``replay``
+``done``         w → s   round finished; fields: ``round``, ``replay``,
+                         ``trace_id``, ``halted``; blob: pickled
+                         ``{"outputs", "trace", "spans", "digest"}``
+                         (digest: one ``(sender, recipient, bits, phase)``
+                         row per emitted frame)
 ``checkpoint``   s → w   write a checkpoint at the current barrier;
-                         fields: ``round``
+                         fields: ``round``, ``trim_below``
 ``checkpointed`` w → s   ack; fields: ``round``
 ``heartbeat``    w → s   liveness beacon (worker-side timer thread);
                          fields: ``progress`` (moved-bytes counter, so
@@ -60,7 +60,7 @@ supervisor can poll with short deadlines without ever losing framing.
 """
 
 # lint: file-allow[ACC001] reason=control-channel sockets; party traffic is
-# charged by the supervisor per routed Frame, never from this module
+# charged by the supervisor from worker digests, never from this module
 
 from __future__ import annotations
 
@@ -72,13 +72,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ClusterError
-from repro.runtime.transport import Frame, _LENGTH
-from repro.utils.serialization import (
-    decode_bytes,
-    decode_sequence,
-    encode_bytes,
-    encode_sequence,
-)
+from repro.runtime.transport import _LENGTH
+from repro.utils.serialization import decode_bytes, encode_bytes
 
 # Hard cap on a single wire record.  Logical messages larger than the
 # chunk threshold are split into ``part`` records by the channel and
@@ -114,7 +109,7 @@ KINDS = (
 #: Control-plane byte meter: ``(direction, kind, num_bytes)`` with
 #: direction ``"send"`` or ``"recv"``.  Installed by the supervisor so
 #: the flow ledger can account control overhead separately from the
-#: party traffic it routes (which is charged per Frame, not here).
+#: party traffic (which is charged from worker digests, not here).
 ChannelMeter = Callable[[str, str, int], None]
 
 
@@ -124,7 +119,6 @@ class Message:
 
     kind: str
     fields: Dict[str, Any] = field(default_factory=dict)
-    frames: List[Frame] = field(default_factory=list)
     blob: bytes = b""
 
     def encode_body(self) -> bytes:
@@ -137,11 +131,7 @@ class Message:
             sort_keys=True,
             separators=(",", ":"),
         ).encode("utf-8")
-        return (
-            encode_bytes(header)
-            + encode_bytes(self.blob)
-            + encode_sequence([frame.encode() for frame in self.frames])
-        )
+        return encode_bytes(header) + encode_bytes(self.blob)
 
     def encode(self) -> bytes:
         """Length-prefixed single-record wire encoding."""
@@ -158,7 +148,6 @@ class Message:
         try:
             header_bytes, offset = decode_bytes(body, 0)
             blob, offset = decode_bytes(body, offset)
-            frame_blobs, offset = decode_sequence(body, offset)
             header = json.loads(header_bytes.decode("utf-8"))
         except Exception as exc:  # framing or JSON garbage
             raise ClusterError(f"corrupt control message: {exc}") from exc
@@ -171,10 +160,7 @@ class Message:
         kind = header.pop("kind")
         if kind not in KINDS:
             raise ClusterError(f"unknown control message kind {kind!r}")
-        frames = [
-            Frame.decode(item[_LENGTH.size:]) for item in frame_blobs
-        ]
-        return Message(kind=kind, fields=header, frames=frames, blob=blob)
+        return Message(kind=kind, fields=header, blob=blob)
 
     # -- blob helpers ---------------------------------------------------------
 

@@ -115,13 +115,13 @@ class Frame:
             raise NetworkError(f"frame phase is not UTF-8: {exc}") from exc
         payload = body[phase_start + phase_len:]
         return Frame(
-            # lint: allow[TRU001] reason=party ids are checked against staged routing tables by the supervisor before any delivery or ledger charge
+            # lint: allow[TRU001] reason=party ids are checked against the transport's routing tables before any delivery or ledger charge
             sender=sender,
-            recipient=recipient,  # lint: allow[TRU001] reason=recipient is checked against staged routing tables before any delivery or ledger charge
+            recipient=recipient,  # lint: allow[TRU001] reason=recipient is checked against the transport's routing tables before any delivery or ledger charge
             payload=payload,
             sent_round=sent,
             deliver_round=deliver,
-            charge_bits=charge,  # lint: allow[TRU001] reason=unsigned by wire format; replayed charges are cross-checked by mesh/relay ledger parity gates
+            charge_bits=charge,  # lint: allow[TRU001] reason=unsigned by wire format; replayed charges are cross-checked by the cluster-vs-single-process ledger parity gates
             seq=seq,  # lint: allow[TRU001] reason=seq is an opaque reconnect-dedup tag; the replay consumer tolerates arbitrary values
             phase=phase,
         )

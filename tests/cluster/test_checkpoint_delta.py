@@ -1,4 +1,4 @@
-"""Delta trace checkpoints: segment replay, durability edges, legacy form.
+"""Delta trace checkpoints: segment replay, durability edges, format gate.
 
 ``_save_trace_segments`` appends one pickled ``(start_index, events)``
 chunk per party per checkpoint to ``trace-<pid>.seg``; the manifest
@@ -16,6 +16,7 @@ import pickle
 
 import pytest
 
+from repro.cluster.cli import cmd_cluster
 from repro.cluster.supervisor import (
     STATE_FILE,
     STATE_FORMAT,
@@ -97,15 +98,6 @@ class TestReadState:
         assert state is not None
         assert state["trace_events"] == events
 
-    def test_legacy_inline_manifest_is_honored_untouched(self, tmp_path):
-        inline = {0: [_event(0, 0)]}
-        # A stale segment file must NOT override the inline stream.
-        _append_chunk(tmp_path, 0, 0, [_event(0, 99)])
-        _write_manifest(tmp_path, trace_events=inline)
-        state = read_state(tmp_path)
-        assert state is not None
-        assert state["trace_events"] == inline
-
     def test_absent_state_is_none(self, tmp_path):
         assert read_state(tmp_path) is None
 
@@ -119,3 +111,40 @@ class TestReadState:
         (tmp_path / STATE_FILE).write_bytes(b"not a pickle")
         with pytest.raises(ClusterError, match="corrupt supervisor state"):
             read_state(tmp_path)
+
+
+class TestFormatOneRunDir:
+    """A run dir written by the two-plane supervisor (format ``/1``)
+    cannot be resumed or inspected: both entry points fail loudly with
+    a :class:`ClusterError` naming the format it found."""
+
+    def _write_v1(self, run_dir):
+        _append_chunk(run_dir, 0, 0, [_event(0, 0)])
+        state = {
+            "format": "repro-cluster-supervisor/1",
+            "job_name": "phase-king",
+            "n": 4,
+            "num_workers": 2,
+            "data_plane": "relay",
+            "round": 2,
+            "completed": False,
+            "restarts": 0,
+            "container": b"",
+            "outputs": {},
+            "trace_segments": {0: 1},
+        }
+        with (run_dir / STATE_FILE).open("wb") as handle:
+            pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def test_status_rejects_format_one(self, tmp_path):
+        self._write_v1(tmp_path)
+        with pytest.raises(ClusterError, match="repro-cluster-supervisor/1"):
+            cmd_cluster(["status", "--run-dir", str(tmp_path)])
+
+    def test_resume_rejects_format_one(self, tmp_path):
+        self._write_v1(tmp_path)
+        with pytest.raises(ClusterError, match="repro-cluster-supervisor/1"):
+            cmd_cluster([
+                "resume", "--run-dir", str(tmp_path),
+                "--workload", "phase-king", "--n", "4",
+            ])

@@ -1,6 +1,6 @@
 """Mesh fault injection: link death, slow trains, SIGKILL, budget.
 
-Three layers of failure tolerance under test:
+Four layers of failure tolerance under test:
 
 * the :class:`~repro.cluster.mesh.MeshRouter` itself — a killed TCP
   link redials, the handshake's watermark exchange resends retained
@@ -11,6 +11,9 @@ Three layers of failure tolerance under test:
   dead (the regression for the bug where "slow relaying a big train"
   was conflated with "dead"), while a worker whose progress genuinely
   stalls still is;
+* the supervisor's digest validation — a worker reporting charges for
+  a party outside its shard, or for a party that does not exist, is
+  rejected before a single bit lands in the ledger;
 * whole-process faults on the mesh data plane (``cluster`` marker) —
   SIGKILL mid-round respawns, re-handshakes, resumes from the durable
   checkpoint and still charges bit-identical ledgers (no double-charged
@@ -235,6 +238,56 @@ class TestSlowTrainIsNotDead:
             _await_harness(events, round_timeout=5.0)
 
 
+# -- digest validation (unit, tier-1) -----------------------------------------
+
+
+def _digest_supervisor():
+    # n=4 over two workers: worker 0 owns parties {0, 1}, worker 1 {2, 3}.
+    return ClusterSupervisor(
+        phase_king_job({i: 0 for i in range(4)}),
+        ClusterConfig(num_workers=2),
+    )
+
+
+def _replay_done(supervisor, worker_id, rows):
+    """Queue one worker's done for round 0 and replay it."""
+    supervisor._backlog.append((
+        0,
+        worker_id,
+        Message(DONE, {"round": 0},
+                blob=Message.pack_payload({"digest": rows})),
+    ))
+    supervisor._flush_backlog()
+
+
+class TestDigestValidation:
+    def test_foreign_sender_is_rejected(self):
+        # Worker 0 tries to charge bits to worker 1's party 2.
+        supervisor = _digest_supervisor()
+        with pytest.raises(ClusterError, match="not in its shard"):
+            _replay_done(supervisor, 0, [(2, 3, 64, "vote")])
+        assert supervisor.metrics.party_ids == []
+
+    def test_out_of_range_sender_is_rejected(self):
+        # A ledger entry for a party that does not exist.
+        supervisor = _digest_supervisor()
+        with pytest.raises(ClusterError, match="not in its shard"):
+            _replay_done(supervisor, 0, [(99, 1, 64, "vote")])
+        assert supervisor.metrics.party_ids == []
+
+    @pytest.mark.parametrize("recipient", [4, -1])
+    def test_out_of_range_recipient_is_rejected(self, recipient):
+        supervisor = _digest_supervisor()
+        with pytest.raises(ClusterError, match="unknown party"):
+            _replay_done(supervisor, 0, [(0, recipient, 64, "vote")])
+        assert supervisor.metrics.party_ids == []
+
+
+def test_relay_data_plane_is_gone():
+    with pytest.raises(ClusterError, match="'relay'"):
+        ClusterConfig(data_plane="relay")
+
+
 # -- whole-process mesh faults (cluster marker) -------------------------------
 
 
@@ -267,7 +320,6 @@ def _mesh_run(n, *, kill_plan=None, max_restarts=3, flow=None,
         num_workers=2,
         kill_plan=dict(kill_plan or {}),
         max_restarts=max_restarts,
-        data_plane="mesh",
         flow=flow,
     )
     return run_balanced_ba_cluster(

@@ -1,14 +1,14 @@
 """MeshConformance: the mesh data plane is indistinguishable on paper.
 
-Every cell runs the same workload on the direct worker↔worker mesh and
-on the legacy supervisor relay, and checks both against the
-single-process reference — outputs, ``max_bits_per_party``, full
-per-party tallies, bit-exact flow-ledger parity
-(``FlowLedger.verify_against``), and the trace fingerprint (pinned to
-the runtime's seed-stability values at n=16; cross-plane-identical at
-n=64).  A mesh that dropped, duplicated, or re-ordered a single frame —
-or charged one bit differently while reconstructing supervisor metrics
-from worker round digests — fails here.
+Every cell runs a workload on the direct worker↔worker mesh and checks
+it against the single-process reference — outputs,
+``max_bits_per_party``, full per-party tallies, bit-exact flow-ledger
+parity (``FlowLedger.verify_against``), and the trace fingerprint
+(pinned to the runtime's seed-stability values at n=16, and to
+:data:`PINNED_N64` at n=64).  A mesh that dropped, duplicated, or
+re-ordered a single frame — or charged one bit differently while
+reconstructing supervisor metrics from worker round digests — fails
+here.
 
 The n=16 cells are cheap enough for tier-1; n=64 rides the ``cluster``
 marker with the other heavy process tests.
@@ -46,8 +46,15 @@ from repro.utils.randomness import Randomness
 from tests.runtime.test_seed_stability import PINNED
 
 SEED = 7  # matches tests/runtime/test_seed_stability.py's pins
-PLANES = ("mesh", "relay")
 SCHEMES = ("snark", "owf")
+
+#: n=64 merged-trace fingerprints, captured when the mesh and the
+#: retired hub-and-spoke relay still ran side by side and agreed
+#: bit-for-bit.  Re-pin only for a deliberate protocol change.
+PINNED_N64 = {
+    "snark": "6ceb9a7d59d2dd8a734ffa09346ba1097aa6ddfdb38d19714193be5f7e6fe495",
+    "owf": "0458a5c48bc80da5f04841b39042fc110784c28b0ec9c23885cbe64086356d76",
+}
 
 
 def _scheme(name):
@@ -85,21 +92,19 @@ def _pi_ba_reference(n, scheme_name):
     return result.outputs, metrics
 
 
-def _cluster_replay(n, scheme_name, plane, workers):
+def _cluster_replay(n, scheme_name, workers):
     script = _pi_ba_script(n, scheme_name)
     flow = FlowLedger()
-    config = ClusterConfig(
-        num_workers=workers, data_plane=plane, flow=flow
-    )
+    config = ClusterConfig(num_workers=workers, flow=flow)
     job = replay_job(script, n, checkpoint_interval=4)
     result = ClusterSupervisor(job, config).run()
     apply_func_ops(script, result.metrics)
     return result, flow
 
 
-def _assert_pi_ba_cell(n, scheme_name, plane, workers, pinned=None):
+def _assert_pi_ba_cell(n, scheme_name, workers, pinned):
     ref_outputs, ref_metrics = _pi_ba_reference(n, scheme_name)
-    result, flow = _cluster_replay(n, scheme_name, plane, workers)
+    result, flow = _cluster_replay(n, scheme_name, workers)
     assert result.outputs == ref_outputs
     assert (
         result.metrics.max_bits_per_party == ref_metrics.max_bits_per_party
@@ -109,43 +114,34 @@ def _assert_pi_ba_cell(n, scheme_name, plane, workers, pinned=None):
     # with the authoritative metrics the supervisor reconstructed.
     assert flow.verify_against(result.metrics) == []
     assert flow.coverage() == 1.0
-    fingerprint = result.trace.fingerprint()
-    if pinned is not None:
-        assert fingerprint == pinned, (
-            f"{plane} trace fingerprint drifted from the runtime pin"
-        )
+    assert result.trace.fingerprint() == pinned, (
+        "trace fingerprint drifted from the pin"
+    )
     flow.close()
-    return fingerprint
 
 
 class TestPiBaMatrixN16:
-    @pytest.mark.parametrize("plane", PLANES)
     @pytest.mark.parametrize("scheme_name", SCHEMES)
-    def test_both_planes_match_reference_and_pin(self, scheme_name, plane):
-        _assert_pi_ba_cell(
-            16, scheme_name, plane, workers=2, pinned=PINNED[scheme_name]
-        )
+    def test_matches_reference_and_pin(self, scheme_name):
+        _assert_pi_ba_cell(16, scheme_name, workers=2,
+                           pinned=PINNED[scheme_name])
 
 
 @pytest.mark.cluster
 class TestPiBaMatrixN64:
     @pytest.mark.parametrize("scheme_name", SCHEMES)
-    def test_planes_agree_at_four_workers(self, scheme_name):
-        fingerprints = {
-            plane: _assert_pi_ba_cell(64, scheme_name, plane, workers=4)
-            for plane in PLANES
-        }
-        # No n=64 pin exists; the planes must at least agree with each
-        # other bit-for-bit.
-        assert fingerprints["mesh"] == fingerprints["relay"]
+    def test_matches_reference_and_pin_at_four_workers(self, scheme_name):
+        _assert_pi_ba_cell(64, scheme_name, workers=4,
+                           pinned=PINNED_N64[scheme_name])
 
     def test_single_worker_mesh_matches_reference(self):
         # Degenerate mesh (no peers, every frame stays local) still
         # reconstructs identical supervisor metrics from digests.
-        _assert_pi_ba_cell(64, "snark", "mesh", workers=1)
+        _assert_pi_ba_cell(64, "snark", workers=1,
+                           pinned=PINNED_N64["snark"])
 
 
-def _phase_king_cell(n, plane, workers):
+def _phase_king_cell(n, workers):
     inputs = {i: i % 2 for i in range(n)}
     byzantine = (3,)
     reference, ref_metrics = run_phase_king_runtime(inputs, byzantine)
@@ -154,9 +150,7 @@ def _phase_king_cell(n, plane, workers):
         inputs,
         byzantine,
         num_workers=workers,
-        config=ClusterConfig(
-            num_workers=workers, data_plane=plane, flow=flow
-        ),
+        config=ClusterConfig(num_workers=workers, flow=flow),
     )
     assert outputs == reference
     assert (
@@ -167,7 +161,7 @@ def _phase_king_cell(n, plane, workers):
     flow.close()
 
 
-def _gradecast_cell(n, plane, workers):
+def _gradecast_cell(n, workers):
     sender, value = 2, 1
     reference, ref_metrics = run_gradecast(range(n), sender, value)
     flow = FlowLedger()
@@ -176,9 +170,7 @@ def _gradecast_cell(n, plane, workers):
         sender,
         value,
         num_workers=workers,
-        config=ClusterConfig(
-            num_workers=workers, data_plane=plane, flow=flow
-        ),
+        config=ClusterConfig(num_workers=workers, flow=flow),
     )
     assert outputs == reference
     assert all(pair == (value, 2) for pair in outputs.values())
@@ -191,21 +183,17 @@ def _gradecast_cell(n, plane, workers):
 
 
 class TestCommitteePrimitivesN16:
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_phase_king(self, plane):
-        _phase_king_cell(16, plane, workers=2)
+    def test_phase_king(self):
+        _phase_king_cell(16, workers=2)
 
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_gradecast(self, plane):
-        _gradecast_cell(16, plane, workers=2)
+    def test_gradecast(self):
+        _gradecast_cell(16, workers=2)
 
 
 @pytest.mark.cluster
 class TestCommitteePrimitivesN64:
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_phase_king(self, plane):
-        _phase_king_cell(64, plane, workers=4)
+    def test_phase_king(self):
+        _phase_king_cell(64, workers=4)
 
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_gradecast(self, plane):
-        _gradecast_cell(64, plane, workers=4)
+    def test_gradecast(self):
+        _gradecast_cell(64, workers=4)
