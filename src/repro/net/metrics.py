@@ -112,8 +112,15 @@ class CommunicationMetrics:
         """Charge one point-to-point message of ``num_bits`` bits."""
         if num_bits < 0:
             raise NetworkError("message size cannot be negative")
-        sender_tally = self._tally(sender)
-        recipient_tally = self._tally(recipient)
+        # The hottest call in pi_ba (one per wire message), so the
+        # _tally/_attribute helpers are inlined: one lookup per map.
+        tallies = self._tallies
+        sender_tally = tallies.get(sender)
+        if sender_tally is None:
+            sender_tally = tallies[sender] = PartyTally()
+        recipient_tally = tallies.get(recipient)
+        if recipient_tally is None:
+            recipient_tally = tallies[recipient] = PartyTally()
         sender_tally.bits_sent += num_bits
         sender_tally.messages_sent += 1
         sender_tally.peers_sent_to.add(recipient)
@@ -122,9 +129,17 @@ class CommunicationMetrics:
         recipient_tally.peers_received_from.add(sender)
         self._current_round_bits += num_bits
         phase = current_phase() or UNATTRIBUTED
-        self._attribute(sender, phase, num_bits)
-        self._attribute(recipient, phase, num_bits)
-        self._phase_messages[phase] = self._phase_messages.get(phase, 0) + 1
+        phase_bits = self._phase_bits
+        per_party = phase_bits.get(sender)
+        if per_party is None:
+            per_party = phase_bits[sender] = {}
+        per_party[phase] = per_party.get(phase, 0) + num_bits
+        per_party = phase_bits.get(recipient)
+        if per_party is None:
+            per_party = phase_bits[recipient] = {}
+        per_party[phase] = per_party.get(phase, 0) + num_bits
+        phase_messages = self._phase_messages
+        phase_messages[phase] = phase_messages.get(phase, 0) + 1
         if self._flow is not None:
             tag_phase, tag_kind = current_flow_tags()
             self._flow.charge(

@@ -44,7 +44,6 @@ from repro.serve.setup_cache import (
     SCHEME_LABELS,
     SetupCache,
     SetupLease,
-    scheme_for,
 )
 from repro.utils.randomness import Randomness
 
@@ -133,19 +132,6 @@ def make_inputs(spec: SessionSpec) -> Dict[int, int]:
     return {i: value for i in range(spec.n)}
 
 
-def _probe_base_signature_bytes(spec: SessionSpec, material: Any) -> int:
-    """Wire size of one base signature under the session's key material."""
-    pp = material.public_parameters
-    scheme = scheme_for(spec.scheme)
-    for virtual_id, signing_key in material.signing_keys.items():
-        if signing_key is None:
-            continue
-        signature = scheme.sign(pp, virtual_id, signing_key, b"gateway-probe")
-        if signature is not None:
-            return signature.size_bytes()
-    return 0
-
-
 def run_decision(
     spec: SessionSpec,
     lease: SetupLease,
@@ -190,7 +176,7 @@ def run_decision(
     }
     budget_bits = pi_ba_per_party_budget(
         spec.n, params, result.certificate_bytes,
-        _probe_base_signature_bytes(spec, lease._entry.material),
+        lease.base_signature_bytes,
     )
     return {
         "value": result.agreed_value,

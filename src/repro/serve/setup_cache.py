@@ -70,12 +70,37 @@ def scheme_for(label: str) -> SRDSScheme:
     )
 
 
+def _probe_base_signature_bytes(
+    scheme: SRDSScheme, material: SRDSSetupMaterial
+) -> int:
+    """Wire size of one base signature under some key material.
+
+    Signs a probe message with the first real signing key (OWF
+    sortition leaves most identities without one); ``0`` when no
+    identity can sign.
+    """
+    pp = material.public_parameters
+    for virtual_id, signing_key in material.signing_keys.items():
+        if signing_key is None:
+            continue
+        signature = scheme.sign(pp, virtual_id, signing_key, b"gateway-probe")
+        if signature is not None:
+            return signature.size_bytes()
+    return 0
+
+
 @dataclass
 class _Entry:
-    """One cached setup domain: the scheme instance + lazy material."""
+    """One cached setup domain: the scheme instance + lazy material.
+
+    ``base_signature_bytes`` is probed once per material (see
+    :func:`_probe_base_signature_bytes`): the size is a pure function of
+    the key material, so decisions that hit the cache sign no probe.
+    """
 
     scheme: SRDSScheme
     material: Optional[SRDSSetupMaterial] = None
+    base_signature_bytes: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -101,6 +126,21 @@ class SetupLease:
     def scheme(self) -> SRDSScheme:
         return self._entry.scheme
 
+    @property
+    def base_signature_bytes(self) -> int:
+        """Wire size of one base signature under the leased material.
+
+        Feeds :func:`~repro.protocols.cost_model.pi_ba_per_party_budget`;
+        probed once when the material is computed, so only valid after
+        :meth:`provider` has served this lease.
+        """
+        with self._entry.lock:
+            if self._entry.material is None:
+                raise GatewayError(
+                    f"setup domain {self._key} has no material yet"
+                )
+            return self._entry.base_signature_bytes
+
     def provider(
         self, scheme: SRDSScheme, num_virtual: int, rng: Randomness
     ) -> SRDSSetupMaterial:
@@ -124,6 +164,9 @@ class SetupLease:
                 return material
             material = compute_srds_setup(scheme, num_virtual, rng)
             self._entry.material = material
+            self._entry.base_signature_bytes = _probe_base_signature_bytes(
+                scheme, material
+            )
             self.misses += 1
             self._cache._note_miss()
             return material

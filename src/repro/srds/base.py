@@ -28,7 +28,16 @@ from repro.pki.registry import PKIMode
 
 
 class SRDSSignature(abc.ABC):
-    """Common surface of base and aggregated SRDS signatures."""
+    """Common surface of base and aggregated SRDS signatures.
+
+    Concrete signatures are frozen dataclasses, and the wire classes
+    cache their canonical bytes in the instance ``__dict__`` on the
+    first :meth:`encode` (pi_ba charges one signature once per
+    recipient).  The cache is not a dataclass field, so equality,
+    hashing, ``repr`` and :func:`dataclasses.replace` ignore it; it is
+    only sound because the objects are immutable — never mutate one
+    after it has been encoded (``object.__setattr__`` included).
+    """
 
     @property
     @abc.abstractmethod

@@ -68,7 +68,12 @@ class OwfBaseSignature(SRDSSignature):
         return True
 
     def encode(self) -> bytes:
-        return encode_uint(self.index) + encode_bytes(self.ots_signature)
+        encoded = self.__dict__.get("_encoded")
+        if encoded is None:
+            encoded = self.__dict__["_encoded"] = (
+                encode_uint(self.index) + encode_bytes(self.ots_signature)
+            )
+        return encoded
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,13 @@ class OwfAggregateSignature(SRDSSignature):
         return self.contributions[-1].index
 
     def encode(self) -> bytes:
-        body = b"".join(c.encode() for c in self.contributions)
-        return encode_uint(len(self.contributions)) + body
+        encoded = self.__dict__.get("_encoded")
+        if encoded is None:
+            body = b"".join(c.encode() for c in self.contributions)
+            encoded = self.__dict__["_encoded"] = (
+                encode_uint(len(self.contributions)) + body
+            )
+        return encoded
 
 
 class OwfSRDS(SRDSScheme):

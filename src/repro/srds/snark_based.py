@@ -87,7 +87,12 @@ class SnarkBaseSignature(SRDSSignature):
         return True
 
     def encode(self) -> bytes:
-        return encode_uint(self.index) + encode_bytes(self.signature_bytes)
+        encoded = self.__dict__.get("_encoded")
+        if encoded is None:
+            encoded = self.__dict__["_encoded"] = (
+                encode_uint(self.index) + encode_bytes(self.signature_bytes)
+            )
+        return encoded
 
     def contribution_digest(self) -> bytes:
         """The per-contribution digest chained into leaf aggregates."""
@@ -110,11 +115,14 @@ class CertifiedBaseSignature:
     inclusion_proof: MerkleProof
 
     def encode(self) -> bytes:
-        return canonical_tuple(
-            self.base.encode(),
-            self.verification_key,
-            _encode_merkle_proof(self.inclusion_proof),
-        )
+        encoded = self.__dict__.get("_encoded")
+        if encoded is None:
+            encoded = self.__dict__["_encoded"] = canonical_tuple(
+                self.base.encode(),
+                self.verification_key,
+                _encode_merkle_proof(self.inclusion_proof),
+            )
+        return encoded
 
 
 @dataclass(frozen=True)
@@ -138,15 +146,18 @@ class SnarkAggregateSignature(SRDSSignature):
         return self.hi
 
     def encode(self) -> bytes:
-        return canonical_tuple(
-            encode_uint(self.count),
-            encode_uint(self.lo),
-            encode_uint(self.hi),
-            self.digest,
-            self.vk_root,
-            self.message_tag,
-            self.proof.encode(),
-        )
+        encoded = self.__dict__.get("_encoded")
+        if encoded is None:
+            encoded = self.__dict__["_encoded"] = canonical_tuple(
+                encode_uint(self.count),
+                encode_uint(self.lo),
+                encode_uint(self.hi),
+                self.digest,
+                self.vk_root,
+                self.message_tag,
+                self.proof.encode(),
+            )
+        return encoded
 
     def statement(self, message: bytes) -> bytes:
         """The PCD statement this aggregate's proof attests to."""

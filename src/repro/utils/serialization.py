@@ -18,8 +18,15 @@ from typing import Iterable, List, Sequence, Tuple
 from repro.errors import SerializationError
 
 
+#: Single-byte varints (values below 128), precomputed: lengths, counts
+#: and small indices dominate what the wire meter encodes.
+_SMALL_UINTS: Tuple[bytes, ...] = tuple(bytes((v,)) for v in range(128))
+
+
 def encode_uint(value: int) -> bytes:
     """Encode a non-negative integer as a LEB128-style varint."""
+    if 0 <= value < 128:
+        return _SMALL_UINTS[value]
     if value < 0:
         raise SerializationError(f"cannot encode negative integer {value}")
     out = bytearray()

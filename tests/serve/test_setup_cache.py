@@ -69,6 +69,48 @@ class TestLeaseProvider:
         assert a.scheme is not b.scheme
 
 
+def _fresh_probe(label, material):
+    """The base-signature size as an uncached session would measure it:
+    sign once with a freshly constructed scheme."""
+    scheme = scheme_for(label)
+    pp = material.public_parameters
+    for virtual_id, signing_key in material.signing_keys.items():
+        signature = scheme.sign(pp, virtual_id, signing_key, b"probe")
+        if signature is not None:
+            return len(signature.encode())
+    return 0
+
+
+class TestBaseSignatureBytes:
+    @pytest.mark.parametrize("label", SCHEME_LABELS)
+    def test_cached_size_equals_fresh_probe(self, label):
+        lease = SetupCache().lease(label, 6, 11)
+        material = lease.provider(lease.scheme, 8, Randomness(11).fork("x"))
+        assert lease.base_signature_bytes == _fresh_probe(label, material)
+        assert lease.base_signature_bytes > 0
+
+    def test_hit_signs_no_probe(self, monkeypatch):
+        cache = SetupCache()
+        rng = Randomness(11).fork("x")
+        first = cache.lease("snark-hash", 6, 11)
+        first.provider(first.scheme, 24, rng)
+        size = first.base_signature_bytes
+
+        def no_signing(*args, **kwargs):
+            raise AssertionError("a cache hit must not sign a probe")
+
+        monkeypatch.setattr(first.scheme, "sign", no_signing)
+        second = cache.lease("snark-hash", 6, 11)
+        second.provider(second.scheme, 24, rng)
+        assert second.hits == 1
+        assert second.base_signature_bytes == size
+
+    def test_unserved_lease_has_no_size(self):
+        lease = SetupCache().lease("snark-hash", 6, 11)
+        with pytest.raises(GatewayError, match="no material"):
+            lease.base_signature_bytes  # noqa: B018
+
+
 class TestCachePolicy:
     def test_lru_eviction_costs_a_miss_not_correctness(self):
         cache = SetupCache(max_entries=1)

@@ -49,6 +49,42 @@ class TestVarint:
         assert end == len(blob)
 
 
+def _leb128_loop(value):
+    """The reference varint loop the single-byte table short-cuts."""
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+class TestVarintTable:
+    @pytest.mark.parametrize(
+        "value", [0, 1, 127, 128, 255, 16383, 16384, 2 ** 64]
+    )
+    def test_boundaries_match_the_loop(self, value):
+        assert ser.encode_uint(value) == _leb128_loop(value)
+
+    def test_table_edge_lengths(self):
+        assert ser.encode_uint(127) == b"\x7f"
+        assert ser.encode_uint(128) == b"\x80\x01"
+        assert ser.encode_uint(16383) == b"\xff\x7f"
+        assert ser.encode_uint(16384) == b"\x80\x80\x01"
+
+    @given(st.integers(min_value=0, max_value=2 ** 70))
+    def test_matches_the_loop(self, value):
+        assert ser.encode_uint(value) == _leb128_loop(value)
+
+    @pytest.mark.parametrize("value", [-1, -127, -128, -(2 ** 64)])
+    def test_negative_still_rejected(self, value):
+        with pytest.raises(SerializationError):
+            ser.encode_uint(value)
+
+
 class TestBytes:
     @given(st.binary(max_size=500))
     def test_roundtrip(self, blob):
